@@ -17,6 +17,15 @@
 // retry/backoff (internal/resilience) able to ride out sub-budget fault
 // rates. Burst windows overlay a higher rate on a periodic schedule read
 // from the injected simulated clock, modelling correlated outages.
+//
+// An attempt is a SYN probe or a connection, not a request. The scanning
+// stages keep one connection per endpoint for a whole work unit (see
+// httpsim.WithSession), so a draw made at dial covers every exchange on
+// that connection: a Truncate budget spans all of them, a Latency delay is
+// paid once, and a 5xx blip answers one exchange and closes the connection.
+// A unit dials again only after the server or a budget closed its
+// connection, so the number of draws per endpoint stays a function of
+// server behaviour and the same seed still yields the same run.
 package faults
 
 import (

@@ -20,6 +20,7 @@ import (
 	"time"
 
 	"mavscan/internal/apps"
+	"mavscan/internal/httpsim"
 	"mavscan/internal/mav"
 	"mavscan/internal/resilience"
 	"mavscan/internal/telemetry"
@@ -129,8 +130,12 @@ func NewWithKnowledgeBase(env *tsunami.Env, kb KnowledgeBase) *Fingerprinter {
 func (f *Fingerprinter) SetRetrier(r *resilience.Retrier) { f.env.SetRetrier(r) }
 
 // Fingerprint determines the version of the application at t, trying the
-// direct path first and falling back to crawl-and-hash.
+// direct path first and falling back to crawl-and-hash. Both paths share
+// one connection to the target: Fingerprint joins the caller's httpsim
+// session, or opens one for the call.
 func (f *Fingerprinter) Fingerprint(ctx context.Context, t tsunami.Target) Result {
+	ctx, end := httpsim.WithSession(ctx)
+	defer end()
 	tel := f.tel
 	var start time.Time
 	if tel != nil {

@@ -4,7 +4,9 @@
 // Both stages II and III of the scanning pipeline, the honeypot attackers,
 // and the commercial-scanner emulations all talk standard net/http through
 // the transports constructed here, so the protocol behaviour (redirects,
-// chunking, TLS handshakes, certificates) is the real thing.
+// chunking, TLS handshakes, certificates) is the real thing. Within one
+// work unit the stages share one connection per endpoint through a session
+// (see WithSession).
 package httpsim
 
 import (
@@ -200,23 +202,25 @@ type ClientOptions struct {
 	// SourceIP is the address dials appear to come from; attackers set
 	// their own IPs here. The zero value uses simnet's default source.
 	SourceIP netip.Addr
-	// DisableKeepAlives forces one connection per request, the behaviour of
-	// scan tooling that touches millions of distinct hosts.
+	// DisableKeepAlives forces one connection per request sent outside a
+	// session. Requests sent with Do under a session (WithSession) reuse
+	// the unit's connection whatever this says.
 	DisableKeepAlives bool
 	// Retrier, when non-nil, wraps the transport so bodyless requests are
 	// retried on transport errors and transient 5xx responses under the
 	// retrier's policy (see internal/resilience).
 	Retrier *resilience.Retrier
-	// Clock paces the per-connection wall budget (nil = the wall clock).
+	// Clock paces the per-request wall budget (nil = the wall clock).
 	// Tests inject a fake sleeper to prove tarpits and slow-loris drips
 	// terminate without waiting out a real budget.
 	Clock simtime.Sleeper
-	// Budget is the per-connection wall budget: a watchdog off Clock closes
-	// any connection older than Budget regardless of protocol progress,
-	// which is what terminates a drip that delivers one byte per timeout
-	// window. Zero means Timeout; negative disables the watchdog.
+	// Budget is the per-request wall budget: a watchdog off Clock closes
+	// any connection that has served one request for longer than Budget,
+	// regardless of protocol progress, which is what terminates a drip that
+	// delivers one byte per timeout window. Zero means Timeout; negative
+	// disables the watchdog.
 	Budget time.Duration
-	// MaxConnBytes caps the cumulative bytes read from one connection,
+	// MaxConnBytes caps the bytes one request reads from its connection,
 	// under the protocol layer — the backstop against responders that
 	// stream garbage past every header and body cap. Zero means
 	// limits.MaxConnBytes; negative disables the cap.
@@ -238,6 +242,7 @@ func NewClient(n *simnet.Network, opts ClientOptions) *http.Client {
 		opts.Budget = opts.Timeout
 	}
 	dial := func(ctx context.Context, network, address string) (net.Conn, error) {
+		meterFrom(ctx).dial()
 		var conn net.Conn
 		var err error
 		if opts.SourceIP.IsValid() {
@@ -266,8 +271,10 @@ func NewClient(n *simnet.Network, opts ClientOptions) *http.Client {
 		DialContext:       dial,
 		TLSClientConfig:   &tls.Config{InsecureSkipVerify: true},
 		DisableKeepAlives: opts.DisableKeepAlives,
-		// The pipeline fans out over many hosts; idle pooling to the same
-		// host is rarely useful, keep the pool small.
+		// This pool only serves requests sent outside a session. Scan
+		// stages reuse connections within one work unit through a
+		// session's own pool (see WithSession), which is closed when the
+		// unit ends; a client used outside sessions talks to few hosts.
 		MaxIdleConns:        64,
 		MaxIdleConnsPerHost: 2,
 		// A probed endpoint controls its response headers; cap them so a
@@ -299,28 +306,74 @@ func NewClient(n *simnet.Network, opts ClientOptions) *http.Client {
 // connection: a cumulative byte cap under the protocol layer and a
 // wall-clock watchdog, the two enforcement points a weaponized endpoint
 // cannot negotiate with. Everything above them — header caps, body caps,
-// redirect caps — is protocol-level and already enforced elsewhere.
+// redirect caps — is protocol-level and already enforced elsewhere. Both
+// budgets start at dial; a session re-arms them for every later request
+// on the connection (see WithSession).
 func harden(conn net.Conn, opts ClientOptions) net.Conn {
 	if opts.MaxConnBytes >= 0 {
 		conn = limits.Conn(conn, opts.MaxConnBytes)
 	}
-	if opts.Budget > 0 {
-		stop := limits.Watchdog(conn, opts.Clock, opts.Budget)
-		conn = &guardedConn{Conn: conn, stop: stop}
-	}
-	return conn
+	g := &guardedConn{Conn: conn, clock: opts.Clock, budget: opts.Budget}
+	g.arm()
+	return g
 }
 
-// guardedConn retires its watchdog when the connection closes normally, so
-// an orderly exchange never leaks a pending timer goroutine for the rest
-// of the budget.
+// guardedConn owns a connection's watchdog. It retires the watchdog when
+// the connection closes normally, so an orderly exchange never leaks a
+// pending timer goroutine for the rest of the budget.
 type guardedConn struct {
 	net.Conn
-	stop func()
+	clock  simtime.Sleeper
+	budget time.Duration
+
+	mu     sync.Mutex
+	stop   func() // retires the armed watchdog; nil while disarmed
+	closed bool
+}
+
+// arm starts a request's budgets: a full byte meter and, when the client
+// has a wall budget, a fresh watchdog. A nil receiver (a connection this
+// package did not dial) has no budgets to arm.
+func (c *guardedConn) arm() {
+	if c == nil {
+		return
+	}
+	limits.Refill(c.Conn)
+	if c.budget <= 0 {
+		return
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.closed {
+		return
+	}
+	if c.stop != nil {
+		c.stop()
+	}
+	c.stop = limits.Watchdog(c.Conn, c.clock, c.budget)
+}
+
+// disarm parks the watchdog while the connection idles between requests.
+func (c *guardedConn) disarm() {
+	if c == nil {
+		return
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.stop != nil {
+		c.stop()
+		c.stop = nil
+	}
 }
 
 func (c *guardedConn) Close() error {
-	c.stop()
+	c.mu.Lock()
+	c.closed = true
+	if c.stop != nil {
+		c.stop()
+		c.stop = nil
+	}
+	c.mu.Unlock()
 	return c.Conn.Close()
 }
 

@@ -14,9 +14,11 @@
 //     the cap (a signature or hash must never half-match a prefix).
 //   - DrainBody / Drain     — the small cap for bodies read only to reuse
 //     a keep-alive connection.
-//   - MaxConnBytes / Conn   — per-connection byte budget: whatever the
-//     protocol layer believes, a connection stops yielding bytes here.
-//   - Watchdog              — per-connection wall budget off the injected
+//   - MaxConnBytes / Conn   — per-request byte budget under the protocol
+//     layer: whatever the protocol layer believes, a connection stops
+//     yielding bytes here. Refill restores it when a kept-alive
+//     connection is handed to its next request.
+//   - Watchdog              — per-request wall budget off the injected
 //     clock, so tarpits and slow-loris drips terminate even when the
 //     protocol layer sees steady progress.
 //   - MaxDecompressRatio / Gunzip — decompression-ratio cap: the sanctioned
@@ -32,6 +34,7 @@ import (
 	"io"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"mavscan/internal/simtime"
@@ -48,9 +51,10 @@ const (
 	// MaxHeaderBytes caps request headers on simulated servers and response
 	// headers on scanning clients (httpsim wires it into both sides).
 	MaxHeaderBytes = 256 << 10
-	// MaxConnBytes is the default per-connection read budget enforced under
-	// the protocol layer: headers + body + framing of every request on the
-	// connection. It is deliberately far above MaxBody + MaxHeaderBytes so
+	// MaxConnBytes is the default per-request read budget enforced under
+	// the protocol layer: headers + body + framing of one request on the
+	// connection (plus the TLS handshake on its first). It is deliberately
+	// far above MaxBody + MaxHeaderBytes so
 	// it only trips on endpoints that stream garbage past every
 	// protocol-level cap.
 	MaxConnBytes = 4 << 20
@@ -95,34 +99,51 @@ func Conn(c net.Conn, max int64) net.Conn {
 	if max <= 0 {
 		max = MaxConnBytes
 	}
-	return &budgetConn{Conn: c, remaining: max}
+	b := &budgetConn{Conn: c, max: max}
+	b.remaining.Store(max)
+	return b
+}
+
+// Refill restores the full byte budget of a connection returned by Conn.
+// The budget is per request: a kept-alive connection gets a fresh one each
+// time it is handed to a new request, so benign exchanges never add up to
+// ErrConnBudget however long the connection lives. Any other connection is
+// left alone.
+func Refill(c net.Conn) {
+	if b, ok := c.(*budgetConn); ok {
+		b.remaining.Store(b.max)
+	}
 }
 
 // budgetConn decrements its budget on every Read. The transport owns a
-// single read loop per connection, so the counter needs no locking.
+// single read loop per connection, but Refill runs on the goroutine of the
+// request taking the connection over, so the counter is atomic.
 type budgetConn struct {
 	net.Conn
-	remaining int64
+	max       int64
+	remaining atomic.Int64
 }
 
 func (c *budgetConn) Read(p []byte) (int, error) {
-	if c.remaining <= 0 {
+	remaining := c.remaining.Load()
+	if remaining <= 0 {
 		return 0, ErrConnBudget
 	}
-	if int64(len(p)) > c.remaining {
-		p = p[:c.remaining]
+	if int64(len(p)) > remaining {
+		p = p[:remaining]
 	}
 	n, err := c.Conn.Read(p)
-	c.remaining -= int64(n)
+	c.remaining.Add(-int64(n))
 	return n, err
 }
 
 // Watchdog closes c once budget has elapsed on clock, unless the returned
-// stop function runs first. It is the per-connection wall budget: protocol
+// stop function runs first. It is the per-request wall budget: protocol
 // timeouts reset on progress, so a slow-loris drip that delivers one byte
 // per keep-alive interval evades them — the watchdog does not care about
 // progress, only elapsed time. stop is idempotent and must be called when
-// the connection ends normally.
+// the request ends normally; a kept-alive connection arms a new watchdog
+// for its next request.
 func Watchdog(c io.Closer, clock simtime.Sleeper, budget time.Duration) (stop func()) {
 	if clock == nil {
 		clock = simtime.Wall{}

@@ -91,6 +91,31 @@ func TestConnBudget(t *testing.T) {
 	}
 }
 
+// TestRefillRestoresBudget: the budget is per request, so a kept-alive
+// connection refilled for its next request reads a full budget again.
+func TestRefillRestoresBudget(t *testing.T) {
+	a, b := net.Pipe()
+	defer a.Close()
+	defer b.Close()
+	go func() {
+		buf := bytes.Repeat([]byte("y"), 64)
+		for {
+			if _, err := b.Write(buf); err != nil {
+				return
+			}
+		}
+	}()
+	c := Conn(a, 100)
+	for request := 1; request <= 3; request++ {
+		got, err := io.ReadAll(io.LimitReader(c, 1<<20))
+		if !errors.Is(err, ErrConnBudget) || len(got) != 100 {
+			t.Fatalf("request %d: read %d bytes, %v; want 100 then ErrConnBudget", request, len(got), err)
+		}
+		Refill(c)
+	}
+	Refill(a) // not a budgeted connection: left alone
+}
+
 // notifyCloser flags Close calls.
 type notifyCloser struct{ closed chan struct{} }
 

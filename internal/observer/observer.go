@@ -119,6 +119,7 @@ type Observer struct {
 	OfflineAfter int
 	retr         *resilience.Retrier
 	tel          *obsTelemetry
+	conns        *httpsim.Meter
 }
 
 // targetKey identifies a target under observation. Both the IP and the
@@ -174,6 +175,7 @@ func (o *Observer) Instrument(reg *telemetry.Registry) {
 		}
 	}
 	o.tel = tel
+	o.conns = httpsim.NewMeter(reg)
 }
 
 // New builds an observer on the given network and clock.
@@ -290,8 +292,13 @@ func (o *Observer) Watch(targets []Target, interval, duration time.Duration) *Re
 					t := targets[i]
 					// Each check runs under a context derived from the
 					// resilience budget, so one hung simulated host cannot
-					// stall the whole tick.
-					ctx, cancel := o.retr.Context(context.Background())
+					// stall the whole tick. The check is one work unit: its
+					// httpsim session lets the MAV re-check and the
+					// fingerprinter share a connection, and ends with the
+					// check, so churn between ticks is always observed on a
+					// fresh connection.
+					ctx, cancel := o.retr.Context(httpsim.WithMeter(context.Background(), o.conns))
+					ctx, end := httpsim.WithSession(ctx)
 					raw := o.classify(ctx, t)
 					if raw == StateOffline {
 						grace[i]++
@@ -313,6 +320,7 @@ func (o *Observer) Watch(targets []Target, interval, duration time.Duration) *Re
 						})
 						versions[i] = fpRes.Version
 					}
+					end()
 					cancel()
 				}
 			}()

@@ -150,7 +150,7 @@ func (p *Prefilter) fetchOnce(ctx context.Context, scheme string, ip netip.Addr,
 		return "", false, 0, err
 	}
 	req.Header.Set("User-Agent", "mavscan-research-scanner/1.0 (+https://example.org/scan-optout)")
-	resp, err := p.client.Do(req)
+	resp, err := httpsim.Do(p.client, req)
 	if err != nil {
 		return "", false, 0, err
 	}
@@ -162,8 +162,12 @@ func (p *Prefilter) fetchOnce(ctx context.Context, scheme string, ip netip.Addr,
 	return string(body), truncated, resp.StatusCode, nil
 }
 
-// Probe runs the Stage-II check for one open port.
+// Probe runs the Stage-II check for one open port. Its fetches share one
+// connection per scheme: Probe joins the caller's httpsim session, or opens
+// one for the call.
 func (p *Prefilter) Probe(ctx context.Context, ip netip.Addr, port int) Result {
+	ctx, end := httpsim.WithSession(ctx)
+	defer end()
 	res := Result{IP: ip, Port: port}
 	trySchemes := []string{"http", "https"}
 	switch port {

@@ -141,6 +141,7 @@ type Pipeline struct {
 	fp     *fingerprint.Fingerprinter
 	reg    *telemetry.Registry
 	queue  *telemetry.Gauge
+	conns  *httpsim.Meter
 	shard  ShardPlan
 	// Per-stage retriers; nil when no resilience policy is installed.
 	retrPre, retrScan, retrFP *resilience.Retrier
@@ -217,24 +218,19 @@ func New(n *simnet.Network, opts ...Option) *Pipeline {
 	if cfg.httpTimeout <= 0 {
 		cfg.httpTimeout = 10 * time.Second
 	}
+	// One client serves all three HTTP stages, so a Stage-I hit's session
+	// (see Run) carries prefilter, Tsunami and the fingerprinter over one
+	// connection per endpoint.
 	client := httpsim.NewClient(n, httpsim.ClientOptions{
 		Timeout:           cfg.httpTimeout,
 		DisableKeepAlives: true,
 	})
-	// The prefilter's client mirrors prefilter.New's, under the same
-	// timeout override.
-	preClient := httpsim.NewClient(n, httpsim.ClientOptions{
-		Timeout:           cfg.httpTimeout,
-		MaxRedirects:      5,
-		DisableKeepAlives: true,
-	})
-	env := tsunami.NewEnv(client)
 	p := &Pipeline{
 		net:    n,
 		ports:  portscan.New(n),
-		pre:    prefilter.NewWithClient(preClient),
+		pre:    prefilter.NewWithClient(client),
 		engine: tsunami.NewEngine(plugins.NewRegistry(), client),
-		fp:     fingerprint.New(env),
+		fp:     fingerprint.New(tsunami.NewEnv(client)),
 		shard:  cfg.shard,
 	}
 	if cfg.policy.Enabled() {
@@ -248,6 +244,7 @@ func New(n *simnet.Network, opts ...Option) *Pipeline {
 	if cfg.reg.Enabled() {
 		p.reg = cfg.reg
 		p.queue = cfg.reg.Gauge("mavscan_scanner_queue_depth")
+		p.conns = httpsim.NewMeter(cfg.reg)
 		p.ports.Instrument(cfg.reg)
 		p.pre.Instrument(cfg.reg)
 		p.engine.Instrument(cfg.reg)
@@ -305,6 +302,7 @@ func (p *Pipeline) Run(ctx context.Context, opts Options) (*Report, error) {
 		go func() {
 			defer wg.Done()
 			pprof.Do(ctx, pprof.Labels("mavscan_pool", "stage23.http"), func(ctx context.Context) {
+				ctx = httpsim.WithMeter(ctx, p.conns)
 				for batch := range hits {
 					p.queue.Sub(1)
 					for _, hit := range batch {
@@ -313,30 +311,7 @@ func (p *Pipeline) Run(ctx context.Context, opts Options) (*Report, error) {
 						if ctx.Err() != nil {
 							break
 						}
-						res := p.pre.Probe(ctx, hit.IP, hit.Port)
-						todo := agg.observe(hit.IP, hit.Port, res)
-						for _, t := range todo {
-							if ctx.Err() != nil {
-								break
-							}
-							findings := p.engine.Scan(ctx, t)
-							var fpRes fingerprint.Result
-							if !opts.SkipFingerprint {
-								fpRes = p.fp.Fingerprint(ctx, t)
-							}
-							agg.update(t.IP, t.App, func(obs *AppObservation) {
-								obs.Findings = findings
-								obs.Version = fpRes.Version
-								obs.FPMethod = fpRes.Method
-								if fpRes.Version != "" {
-									// Map the fingerprinted version to its public
-									// release date for the age analyses (Figure 1).
-									if rel, err := apps.ReleaseDate(t.App, fpRes.Version); err == nil {
-										obs.Released = rel
-									}
-								}
-							})
-						}
+						p.scanHit(ctx, hit, agg, opts.SkipFingerprint)
 					}
 				}
 			})
@@ -371,4 +346,36 @@ func (p *Pipeline) Run(ctx context.Context, opts Options) (*Report, error) {
 
 	agg.fold(report, len(opts.Ports))
 	return report, nil
+}
+
+// scanHit carries one open port through Stages II and III. The hit is one
+// work unit: its httpsim session lets the prefilter, every Tsunami plugin
+// and the fingerprinter share one connection (and one TLS handshake) per
+// scheme, and closes it before the next hit.
+func (p *Pipeline) scanHit(ctx context.Context, hit portscan.Result, agg *aggregator, skipFP bool) {
+	ctx, end := httpsim.WithSession(ctx)
+	defer end()
+	res := p.pre.Probe(ctx, hit.IP, hit.Port)
+	for _, t := range agg.observe(hit.IP, hit.Port, res) {
+		if ctx.Err() != nil {
+			break
+		}
+		findings := p.engine.Scan(ctx, t)
+		var fpRes fingerprint.Result
+		if !skipFP {
+			fpRes = p.fp.Fingerprint(ctx, t)
+		}
+		agg.update(t.IP, t.App, func(obs *AppObservation) {
+			obs.Findings = findings
+			obs.Version = fpRes.Version
+			obs.FPMethod = fpRes.Method
+			if fpRes.Version != "" {
+				// Map the fingerprinted version to its public release
+				// date for the age analyses (Figure 1).
+				if rel, err := apps.ReleaseDate(t.App, fpRes.Version); err == nil {
+					obs.Released = rel
+				}
+			}
+		})
+	}
 }

@@ -240,6 +240,8 @@ type Network struct {
 	// address with no registered host is materialized on demand (see
 	// Resolver). Hits on registered hosts never touch it.
 	resolver atomic.Pointer[Resolver]
+	// open counts server-side connections not yet closed (see OpenConns).
+	open atomic.Int64
 }
 
 // Resolver materializes hosts on demand. When a probe, dial, or Host lookup
@@ -522,7 +524,7 @@ func (n *Network) DialFrom(ctx context.Context, src, ip netip.Addr, port int) (n
 		return nil, err
 	}
 	var fault Fault
-	if inj := n.injector(); inj != nil {
+	if inj := n.injector(); inj != nil && ctx.Value(noFaultsKey{}) == nil {
 		fault = inj.DialFault(ip, port)
 		if fault.Err != nil {
 			return nil, fault.Err
@@ -545,12 +547,48 @@ func (n *Network) DialFrom(ctx context.Context, src, ip netip.Addr, port int) (n
 	client, server := net.Pipe()
 	// The server observes the caller's source address on an ephemeral
 	// port; the client observes the dialed destination.
-	var serverConn net.Conn = &addrConn{Conn: server, remote: src, port: 0, local: ip, localPort: port}
-	if fault.Truncate > 0 {
-		serverConn = &truncatedConn{Conn: serverConn, remaining: fault.Truncate}
+	n.open.Add(1)
+	var sc net.Conn = &serverConn{
+		addrConn: addrConn{Conn: server, remote: src, port: 0, local: ip, localPort: port},
+		open:     &n.open,
 	}
-	go handler(serverConn)
+	if fault.Truncate > 0 {
+		sc = &truncatedConn{Conn: sc, remaining: fault.Truncate}
+	}
+	go handler(sc)
 	return &addrConn{Conn: client, remote: ip, port: port, local: src, localPort: 0}, nil
+}
+
+type noFaultsKey struct{}
+
+// WithoutFaults returns ctx under which dials skip the fault injector: no
+// draw is made and no fault applies. A client passes it when it replaces,
+// for reasons of its own, a connection whose exchanges all ended cleanly.
+// The fault model draws per connection, and the replacement stands for
+// the connection it replaces, so it must not consume a new draw.
+func WithoutFaults(ctx context.Context) context.Context {
+	return context.WithValue(ctx, noFaultsKey{}, true)
+}
+
+// OpenConns reports how many dialed connections the server side still
+// holds open. A handler closes its side once the client hangs up, so after
+// a client has closed everything it dialed the count drains to zero; tests
+// use it to prove that no connection outlives its work unit.
+func (n *Network) OpenConns() int64 { return n.open.Load() }
+
+// serverConn is the server side of a dialed pipe. Its first Close takes
+// the connection off the network's open count.
+type serverConn struct {
+	addrConn
+	open   *atomic.Int64
+	closed atomic.Bool
+}
+
+func (c *serverConn) Close() error {
+	if c.closed.CompareAndSwap(false, true) {
+		c.open.Add(-1)
+	}
+	return c.addrConn.Close()
 }
 
 // statusBlipHandler answers one exchange with an empty response carrying

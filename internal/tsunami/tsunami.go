@@ -20,6 +20,7 @@ import (
 	"sync"
 	"time"
 
+	"mavscan/internal/httpsim"
 	"mavscan/internal/limits"
 	"mavscan/internal/mav"
 	"mavscan/internal/resilience"
@@ -105,7 +106,7 @@ func (e *Env) getOnce(ctx context.Context, t Target, path string) (*Response, er
 		return nil, err
 	}
 	req.Header.Set("User-Agent", "TsunamiSecurityScanner")
-	resp, err := e.client.Do(req)
+	resp, err := httpsim.Do(e.client, req)
 	if err != nil {
 		return nil, err
 	}
@@ -234,7 +235,11 @@ func (e *Engine) Instrument(reg *telemetry.Registry) {
 // are swallowed (an unreachable endpoint is simply not vulnerable *now*),
 // matching the scanning pipeline's semantics — but when telemetry is on
 // they are counted per plugin, so swallowed failures remain auditable.
+// The plugins share one connection to the target: Scan joins the caller's
+// httpsim session, or opens one for the call.
 func (e *Engine) Scan(ctx context.Context, t Target) []mav.Finding {
+	ctx, end := httpsim.WithSession(ctx)
+	defer end()
 	tel := e.tel
 	if tel != nil {
 		tel.targets.Inc()

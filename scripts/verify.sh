@@ -31,4 +31,7 @@ go test -short ./...
 echo "==> go test -short -race"
 go test -short -race ./...
 
+echo "==> e2ebench self-test (the benchmark still builds against the stage APIs)"
+(cd e2ebench && go test ./...)
+
 echo "verify.sh: all checks passed"
