@@ -522,6 +522,18 @@ func BenchmarkBlackRockShuffle(b *testing.B) {
 	_ = sink
 }
 
+// BenchmarkBlackRockUnshuffle measures the inverse permutation over the
+// same range: the lazy world runs it to find which host, if any, sits at a
+// probed address.
+func BenchmarkBlackRockUnshuffle(b *testing.B) {
+	p := portscan.NewPermutation(1<<24, 42)
+	var sink uint64
+	for i := 0; i < b.N; i++ {
+		sink += p.Inverse(uint64(i) % (1 << 24))
+	}
+	_ = sink
+}
+
 // BenchmarkPrefilterMatch measures signature matching over a real
 // WordPress landing page served by the emulator.
 func BenchmarkPrefilterMatch(b *testing.B) {

@@ -2,6 +2,7 @@ package population
 
 import (
 	"fmt"
+	"net/netip"
 	"runtime"
 	"testing"
 )
@@ -90,25 +91,50 @@ func BenchmarkScanProbeThroughput(b *testing.B) {
 	}
 }
 
+// locateRing draws n in-plan addresses that locate answers with hit (an
+// occupied address) or not (an empty one), uniformly over the plan.
+func locateRing(l *layout, n int, hit bool) []netip.Addr {
+	ring := make([]netip.Addr, 0, n)
+	for i := uint64(0); len(ring) < n; i++ {
+		a := &l.allocs[splitmix64(i)%uint64(len(l.allocs))]
+		ip := keyAddr(a.start + uint32(splitmix64(^i)%a.size))
+		if _, _, ok := l.locate(ip); ok == hit {
+			ring = append(ring, ip)
+		}
+	}
+	return ring
+}
+
 // BenchmarkLocate isolates the pure occupancy index: classifying an
 // arbitrary address as (stratum, index) or empty with no locks and no
-// allocation. This is the per-probe overhead a lazy miss adds to Stage I.
+// allocation. miss is the per-probe overhead a lazy miss adds to Stage I —
+// almost every probe — and should stay flat as PopScale grows; hit adds
+// the slot and quota lookups of an occupied address. Addresses come from
+// a precomputed ring, so the loop times locate alone.
 func BenchmarkLocate(b *testing.B) {
-	for _, scale := range []int{1, 1000} {
-		b.Run(fmt.Sprintf("scale-%dx", scale), func(b *testing.B) {
-			cfg := Config{Seed: 43, Lazy: true, PopScale: scale}
-			w, err := Generate(cfg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			l := w.layout
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				a := &l.allocs[i%len(l.allocs)]
-				ip := keyAddr(a.start + uint32(splitmix64(uint64(i))%a.size))
-				l.locate(ip)
-			}
-		})
+	for _, kind := range []string{"miss", "hit"} {
+		for _, scale := range []int{1, 2, 100, 1000} {
+			b.Run(fmt.Sprintf("%s/scale-%dx", kind, scale), func(b *testing.B) {
+				w, err := Generate(Config{Seed: 43, Lazy: true, PopScale: scale})
+				if err != nil {
+					b.Fatal(err)
+				}
+				l := w.layout
+				hit := kind == "hit"
+				ring := locateRing(l, 4096, hit)
+				var found int
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if _, _, ok := l.locate(ring[i&(len(ring)-1)]); ok {
+						found++
+					}
+				}
+				b.StopTimer()
+				if hit && found != b.N || !hit && found != 0 {
+					b.Fatalf("%s: %d of %d addresses located", kind, found, b.N)
+				}
+			})
+		}
 	}
 }

@@ -2,6 +2,7 @@ package population
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"net"
 	"net/http"
@@ -35,14 +36,18 @@ import (
 // Both directions are O(log strata) arithmetic:
 //
 //	addrOf(stratum, i):  quota cumsums → (allocation, slot) → Forward(perm)
-//	locate(address):     allocation search → Inverse(perm) → slot cumsums
+//	locate(address):     allocation table → InverseBelow(perm) → slot cumsums
 //
 // so world setup is O(strata), independent of the population size, and any
 // probed address classifies as app host / background / wildcard / empty
-// without enumerating anything. Per-host attributes (version, port, TLS,
-// instance options) are drawn from a rand.Rand seeded with a splitmix64
-// hash of (cfg.Seed, address), so the eager walk and the lazy miss path
-// derive byte-identical hosts.
+// without enumerating anything. locate runs once per Stage-I probe and
+// almost every probe misses, so its empty answer is kept to plain
+// arithmetic: the allocation comes from a direct-indexed table, and the
+// inverse permutation stops a round early for nearly every unoccupied
+// address (see portscan.Permutation.InverseBelow). Per-host attributes
+// (version, port, TLS, instance options) are drawn from a rand.Rand seeded
+// with a splitmix64 hash of (cfg.Seed, address), so the eager walk and the
+// lazy miss path derive byte-identical hosts.
 
 type stratumKind uint8
 
@@ -92,6 +97,14 @@ type layout struct {
 	ca     *httpsim.CA
 	strata []stratum
 	allocs []allocLayout
+	// allocAt is the allocation table locate reads: the address span from
+	// tableBase up to the end of the last allocation, cut into granules of
+	// 2^granShift addresses, each entry the index of the allocation holding
+	// that granule or -1. Every allocation start and size is a multiple of
+	// the granule, so the entry is exact for every address in it.
+	allocAt   []int32
+	tableBase uint32
+	granShift uint
 	// kinds caches the background handler palette (stable order).
 	kinds []apps.BackgroundKind
 	// ports caches the scan-port palette hostile hosts draw from.
@@ -298,7 +311,62 @@ func newLayout(cfg Config, db *geo.DB, ca *httpsim.CA) (*layout, error) {
 			perm:  portscan.NewPermutation(size, splitmix64(uint64(cfg.Seed)+0x9e3779b97f4a7c15*uint64(p+1))),
 		})
 	}
+	if err := l.buildAllocTable(); err != nil {
+		return nil, err
+	}
 	return l, nil
+}
+
+// maxAllocTable bounds the allocation table. Every plan Generate builds
+// (geo.Default and geo.Scaled) needs one entry per allocation; only a
+// plan of tiny allocations scattered far apart could need more.
+const maxAllocTable = 1 << 16
+
+// buildAllocTable fills allocAt. The granule is the largest power of two
+// dividing every allocation start and size — the smallest allocation, for
+// the aligned plans geo builds. Each entry answers, for its granule, the
+// question an allocation search would: the last allocation starting at or
+// before the address, if the address is inside it.
+func (l *layout) buildAllocTable() error {
+	if len(l.allocs) == 0 {
+		return nil
+	}
+	l.granShift = 32
+	var end uint64
+	for _, a := range l.allocs {
+		l.granShift = min(l.granShift, uint(bits.TrailingZeros64(a.size)), uint(bits.TrailingZeros32(a.start)))
+		end = max(end, uint64(a.start)+a.size)
+	}
+	l.tableBase = l.allocs[0].start
+	n := (end - uint64(l.tableBase)) >> l.granShift
+	if n > maxAllocTable {
+		return fmt.Errorf("population: address plan spans %d granules of %d addresses; at most %d are supported",
+			n, uint64(1)<<l.granShift, maxAllocTable)
+	}
+	l.allocAt = make([]int32, n)
+	p := 0
+	for g := range l.allocAt {
+		v := uint64(l.tableBase) + uint64(g)<<l.granShift
+		for p+1 < len(l.allocs) && uint64(l.allocs[p+1].start) <= v {
+			p++
+		}
+		l.allocAt[g] = -1
+		if v-uint64(l.allocs[p].start) < l.allocs[p].size {
+			l.allocAt[g] = int32(p)
+		}
+	}
+	return nil
+}
+
+// allocFor returns the index of the allocation holding address v.
+func (l *layout) allocFor(v uint32) (int, bool) {
+	// An address below tableBase wraps to at least the table's span, so
+	// one unsigned compare rejects both sides of the plan.
+	g := uint64(v-l.tableBase) >> l.granShift
+	if g >= uint64(len(l.allocAt)) || l.allocAt[g] < 0 {
+		return 0, false
+	}
+	return int(l.allocAt[g]), true
 }
 
 // addrOf returns the address of host (stratum s, index idx), idx in
@@ -311,24 +379,21 @@ func (l *layout) addrOf(s int, idx uint64) netip.Addr {
 }
 
 // locate is the inverse of addrOf: it classifies an arbitrary address as
-// belonging to (stratum, index) or empty, in O(log) time with no locks and
-// no allocation — the occupancy index of the lazy world.
+// belonging to (stratum, index) or empty, with no locks, no allocation and
+// no per-host memory — the occupancy index of the lazy world. An empty
+// address costs one table load and three or four Feistel rounds.
 func (l *layout) locate(ip netip.Addr) (s int, idx uint64, ok bool) {
 	if !ip.Is4() {
 		return 0, 0, false
 	}
 	v := ipKey(ip)
-	p := sort.Search(len(l.allocs), func(i int) bool { return l.allocs[i].start > v }) - 1
-	if p < 0 {
+	p, ok := l.allocFor(v)
+	if !ok {
 		return 0, 0, false
 	}
 	a := &l.allocs[p]
-	off := uint64(v - a.start)
-	if off >= a.size {
-		return 0, 0, false
-	}
-	j := a.perm.Inverse(off)
-	if j >= a.slots.Total() {
+	j, ok := a.perm.InverseBelow(uint64(v-a.start), a.slots.Total())
+	if !ok {
 		return 0, 0, false // inside the allocation but unoccupied
 	}
 	s, local := a.slots.Find(j)

@@ -224,8 +224,10 @@ func (w *World) VulnScale() int { return w.cfg.VulnScale }
 
 // SpecFor returns the ground truth for ip. In lazy mode it materializes
 // the host on demand (and caches it), so callers can ask about any address
-// without a prior probe.
+// without a prior probe. An IPv4-mapped IPv6 address names the same host
+// as its IPv4 form, as it does on the network.
 func (w *World) SpecFor(ip netip.Addr) (*HostSpec, bool) {
+	ip = ip.Unmap()
 	if w.cfg.Lazy {
 		e := w.materialize(ip, false)
 		if e == nil || e.spec == nil {
@@ -342,8 +344,12 @@ func (w *World) Instrument(reg *telemetry.Registry) {
 }
 
 // materialize derives the host at ip if the layout places one there,
-// returning the cached entry (nil for empty addresses).
+// returning the cached entry (nil for empty addresses). The network
+// accepts IPv4-mapped addresses, so the host is located, keyed and built
+// by its IPv4 form: the mapped and plain forms reach the same host, as in
+// an eager world.
 func (w *World) materialize(ip netip.Addr, pin bool) *cacheEntry {
+	ip = ip.Unmap()
 	s, idx, ok := w.layout.locate(ip)
 	if !ok {
 		return nil

@@ -164,23 +164,32 @@ func (br *blackRock) Shuffle(m uint64) uint64 {
 	return c
 }
 
-// decryptOnce inverts one pass of the Feistel network. Each forward round
-// replaces (L, R) with (R, (L + F(r, R)) mod m_r), so the inverse recovers
-// the pre-round pair as (R' - F(r, L') mod m_r, L'), running the rounds in
-// reverse. The round function must be reduced exactly the way encryptOnce
-// reduced it — the fast (reciprocal, 32-bit-truncated) and slow (full-width
-// modulo) paths realize *different* permutations, so the decryptor mirrors
-// the same path selection.
-func (br *blackRock) decryptOnce(c uint64) uint64 {
-	var left, right uint64
+// split cuts a position of the cycle-walk domain [0, a*b) into the Feistel
+// halves: left = m mod a, right = m / a.
+func (br *blackRock) split(m uint64) (left, right uint64) {
 	if br.fastA {
-		right = br.aDiv.div(c)
-		left = c - right*br.a
-	} else {
-		left = c % br.a
-		right = c / br.a
+		right = br.aDiv.div(m)
+		return m - right*br.a, right
 	}
-	for r := br.rounds - 1; r >= 0; r-- {
+	return m % br.a, m / br.a
+}
+
+// invRounds undoes forward rounds hi-1 down to lo. Each forward round
+// replaces (L, R) with (R, (L + F(r, R)) mod m_r), so the inverse recovers
+// the pre-round pair as (R' - F(r, L') mod m_r, L'). The round function
+// must be reduced exactly the way encryptOnce reduced it — the fast
+// (reciprocal, 32-bit-truncated) and slow (full-width modulo) paths
+// realize *different* permutations, so the decryptor mirrors the same path
+// selection.
+//
+// The modular subtraction is written as encryptOnce's compare-subtract
+// (R' + m_r - F, minus m_r once if that reaches m_r; both operands are
+// below m_r, so nothing underflows) rather than as "if R' >= F". The two
+// forms agree on every input, but the data-dependent branch mispredicts on
+// about half the rounds, while the compare-subtract compiles to a
+// conditional move.
+func (br *blackRock) invRounds(left, right uint64, hi, lo int) (uint64, uint64) {
+	for r := hi - 1; r >= lo; r-- {
 		var mod, f uint64
 		if r&1 == 0 {
 			mod = br.a
@@ -197,14 +206,20 @@ func (br *blackRock) decryptOnce(c uint64) uint64 {
 		} else {
 			f = br.round(r, left) % mod
 		}
-		var tmp uint64
-		if right >= f {
-			tmp = right - f
-		} else {
-			tmp = right + mod - f
+		tmp := right + mod - f
+		if tmp >= mod {
+			tmp -= mod
 		}
 		left, right = tmp, left
 	}
+	return left, right
+}
+
+// decryptOnce inverts one pass of the Feistel network: encryptOnce's
+// rounds, run in reverse.
+func (br *blackRock) decryptOnce(c uint64) uint64 {
+	left, right := br.split(c)
+	left, right = br.invRounds(left, right, br.rounds, 0)
 	return br.a*right + left
 }
 
@@ -221,6 +236,36 @@ func (br *blackRock) Unshuffle(c uint64) uint64 {
 		m = br.decryptOnce(m)
 	}
 	return m
+}
+
+// unshuffleBelow is Unshuffle restricted to the question "is the preimage
+// of c below n, and if so which is it?". It returns (Unshuffle(c), true)
+// when that is below n, else (0, false), exactly.
+//
+// The last inverse round only rewrites the left half: after rounds-1 of
+// them the right half r of decryptOnce's output is fixed, so the output
+// lies in [a*r, a*r+a). When that block sits wholly inside [n, rangeSize),
+// the output is in range (no cycle-walking follows) and not below n, so
+// the answer is known without the last round. For a sparse occupied prefix
+// [0, n) of a large range that is almost every c.
+func (br *blackRock) unshuffleBelow(c, n uint64) (uint64, bool) {
+	if br.rangeSize == 0 {
+		return 0, n > 0
+	}
+	left, right := br.split(c)
+	left, right = br.invRounds(left, right, br.rounds, 1)
+	if lo := br.a * left; lo >= n && lo+br.a <= br.rangeSize {
+		return 0, false
+	}
+	left, right = br.invRounds(left, right, 1, 0)
+	m := br.a*right + left
+	for m >= br.rangeSize {
+		m = br.decryptOnce(m)
+	}
+	if m >= n {
+		return 0, false
+	}
+	return m, true
 }
 
 // NewShuffler exposes the BlackRock permutation for benchmarking and for
@@ -252,3 +297,12 @@ func (p Permutation) Forward(m uint64) uint64 { return p.br.Shuffle(m) }
 // Inverse maps a shuffled position back to its index:
 // Inverse(Forward(m)) == m.
 func (p Permutation) Inverse(c uint64) uint64 { return p.br.Unshuffle(c) }
+
+// InverseBelow reports whether Inverse(c) is below n and, if so, returns
+// it: (Inverse(c), true) when Inverse(c) < n, else (0, false). It is exact,
+// and cheaper than Inverse for a small n — most positions are then
+// rejected without the last Feistel round or any cycle-walking, the case
+// of a probe landing on an unoccupied address of a sparse block.
+func (p Permutation) InverseBelow(c, n uint64) (uint64, bool) {
+	return p.br.unshuffleBelow(c, n)
+}

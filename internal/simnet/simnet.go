@@ -473,7 +473,9 @@ func (n *Network) Hosts(fn func(h *Host) bool) {
 // exchanging any application data. This is the Stage-I (masscan)
 // primitive, and the hottest call in the pipeline: probes to empty
 // addresses — the overwhelming majority of a sparse scan — are answered
-// from the presence bitmap with a single atomic load.
+// from the presence bitmap with a single atomic load. With a resolver
+// installed (a lazy world) every bitmap miss goes on to the resolver,
+// whose answer for an empty address is the per-probe cost.
 func (n *Network) ProbePort(ip netip.Addr, port int) error {
 	k, ok := addrKey(ip)
 	if !ok {

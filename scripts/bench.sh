@@ -28,7 +28,7 @@ for _ in $(seq "$TABLE_RUNS"); do
 done
 
 echo "==> micro benchmarks (default benchtime)"
-go test -run '^$' -bench 'BenchmarkBlackRockShuffle$|BenchmarkSimnetDial$' -benchmem . >>"$TMP"
+go test -run '^$' -bench 'BenchmarkBlackRock(Un)?[Ss]huffle$|BenchmarkSimnetDial$' -benchmem . >>"$TMP"
 go test -run '^$' -bench . -benchmem ./internal/portscan/ >>"$TMP"
 go test -run '^$' -bench . -benchmem ./internal/simnet/ >>"$TMP"
 go test -run '^$' -bench . -benchmem ./internal/scanner/ >>"$TMP"
